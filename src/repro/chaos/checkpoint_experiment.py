@@ -33,16 +33,10 @@ import random
 from dataclasses import dataclass, field
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.apps.taskgraph import make_layered_dag
 from repro.chaos.controller import ChaosController
 from repro.chaos.domains import DomainTree, build_domain_tree
-from repro.chaos.experiment import CHAOS_PRESETS, graph_signature
-from repro.core.compute_node import ComputeNode
-from repro.core.runtime import (
-    ExecutionEngine,
-    FaultTolerancePolicy,
-    JobManager,
-)
+from repro.chaos.experiment import graph_signature
+from repro.core.runtime import FaultTolerancePolicy, JobManager
 from repro.core.runtime.checkpoint import (
     CheckpointManager,
     CheckpointPolicy,
@@ -50,12 +44,12 @@ from repro.core.runtime.checkpoint import (
     SnapshotStore,
     daly_interval_ns,
 )
-from repro.presets import compiled_suite, node_preset
-from repro.sim import Simulator
-
-#: the task functions every checkpointable workload draws from (recorded
-#: in the snapshot's workload block so restore rebuilds identical graphs)
-WORKLOAD_FUNCTIONS = ("saxpy", "stencil5", "montecarlo")
+from repro.experiments import (
+    WORKLOAD_FUNCTIONS,
+    build_node_engine,
+    chaos_preset,
+    workload_graph,
+)
 
 
 # ----------------------------------------------------------------------
@@ -71,12 +65,7 @@ def workload_spec(
 ) -> Dict[str, Any]:
     """The snapshot's ``workload`` block: a chaos preset's job mix in
     self-contained form (restore rebuilds the machine from this alone)."""
-    if preset_name not in CHAOS_PRESETS:
-        known = ", ".join(sorted(CHAOS_PRESETS))
-        raise KeyError(
-            f"unknown chaos preset {preset_name!r}; choose from: {known}"
-        )
-    preset = CHAOS_PRESETS[preset_name]
+    preset = chaos_preset(preset_name)
     return {
         "kind": "chaos-jobs",
         "preset": preset_name,
@@ -92,47 +81,35 @@ def workload_spec(
     }
 
 
-def _build_machine(
+def build_workload_machine(
     workload: Dict[str, Any],
     fault_tolerance: Optional[FaultTolerancePolicy] = None,
     telemetry=None,
     compiled=None,
     start_ns: float = 0.0,
-):
-    """Fresh (sim, node, engine, manager) for a workload spec.  A
-    restore passes ``start_ns`` so the new incarnation's clock resumes
-    at the snapshot time instead of replaying history from zero."""
-    registry, library = (
-        compiled
-        if compiled is not None
-        else compiled_suite(max_variants=workload["max_variants"])
-    )
-    sim = Simulator()
-    if start_ns > 0.0:
-        sim.warp_to(start_ns)
-    node = ComputeNode(sim, node_preset(workload["node"]))
-    engine = ExecutionEngine(
-        node,
-        registry,
-        library,
-        use_daemon=True,
-        daemon_period_ns=100_000.0,
+) -> JobManager:
+    """A fresh, empty JobManager machine for a workload spec.  A restore
+    passes ``start_ns`` so the new incarnation's clock resumes at the
+    snapshot time instead of replaying history from zero."""
+    engine = build_node_engine(
+        workload["node"],
+        compiled,
+        max_variants=workload["max_variants"],
         fault_tolerance=fault_tolerance,
         telemetry=telemetry,
+        start_ns=start_ns,
     )
-    manager = JobManager(engine)
-    return sim, node, engine, manager
+    return JobManager(engine)
 
 
 def _workload_graph(workload: Dict[str, Any], index: int, num_workers: int):
-    """Job ``index``'s graph, deterministically (seed = graph_seed+i,
-    the same derivation the multi-job chaos experiment uses)."""
-    return make_layered_dag(
-        layers=workload["layers"],
-        width=workload["width"],
-        num_workers=num_workers,
+    """Job ``index``'s graph, deterministically (seed = graph_seed+i)."""
+    return workload_graph(
+        workload["layers"],
+        workload["width"],
+        num_workers,
+        workload["graph_seed"] + index,
         functions=tuple(workload["functions"]),
-        seed=workload["graph_seed"] + index,
     )
 
 
@@ -180,7 +157,7 @@ def restore_from_snapshot(
         raise ValueError(
             f"cannot restore workload kind {workload.get('kind')!r}"
         )
-    _, _, _, manager = _build_machine(
+    manager = build_workload_machine(
         workload,
         fault_tolerance=fault_tolerance,
         telemetry=telemetry,
@@ -344,26 +321,21 @@ def run_checkpoint_restore_experiment(
     if not 0.0 < kill_fraction < abandon_fraction:
         raise ValueError("need 0 < kill_fraction < abandon_fraction")
     workload = workload_spec(preset_name, seed=seed)
-    preset = CHAOS_PRESETS[preset_name]
-    if compiled is None:
-        compiled = compiled_suite(max_variants=workload["max_variants"])
 
     # --- phase 1: uninterrupted baseline -------------------------------
-    _, _, _, manager0 = _build_machine(workload, compiled=compiled)
+    manager0 = build_workload_machine(workload, compiled=compiled)
     handles0 = submit_workload(manager0, workload)
     baseline = manager0.run()
 
     # --- phase 2: checkpointed run, domain kill, abandonment -----------
-    ft = FaultTolerancePolicy(
-        heartbeat_period_ns=preset.heartbeat_period_ns,
-        max_attempts=preset.max_attempts,
-    )
+    ft = chaos_preset(preset_name).fault_tolerance()
     if interval_ns is None:
         interval_ns = baseline.makespan_ns / 8.0
-    sim, node, engine, manager = _build_machine(
+    manager = build_workload_machine(
         workload, fault_tolerance=ft, telemetry=telemetry, compiled=compiled
     )
-    handles = submit_workload(manager, workload)
+    submit_workload(manager, workload)
+    engine, sim = manager.engine, manager.sim
     ckpt = CheckpointManager(
         manager,
         CheckpointPolicy(interval_ns=interval_ns),
@@ -372,7 +344,7 @@ def run_checkpoint_restore_experiment(
         telemetry=telemetry,
     )
     ckpt.start()
-    tree = build_domain_tree(len(node.workers))
+    tree = build_domain_tree(len(engine.node.workers))
     target = tree.domain(domain)
     kill_ns = kill_fraction * baseline.makespan_ns
     abandon_ns = abandon_fraction * baseline.makespan_ns
@@ -553,9 +525,7 @@ def run_checkpoint_interval_sweep(
     measured: Optional[float] = None
     if measure and checkpoint_cost_ns is None:
         workload = workload_spec("mini", seed=seed)
-        if compiled is None:
-            compiled = compiled_suite(max_variants=workload["max_variants"])
-        _, _, _, manager = _build_machine(workload, compiled=compiled)
+        manager = build_workload_machine(workload, compiled=compiled)
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload

@@ -101,25 +101,13 @@ def _cmd_power(args: argparse.Namespace) -> int:
 
 
 def _cmd_demo(args: argparse.Namespace) -> int:
-    from repro.apps import make_layered_dag
-    from repro.core import ComputeNode
-    from repro.core.runtime import ExecutionEngine
-    from repro.presets import board_node, compiled_suite
-    from repro.sim import Simulator, Tracer, render_timeline
+    from repro.experiments import build_node_engine, workload_graph
+    from repro.presets import board_node
+    from repro.sim import Tracer, render_timeline
 
     print("compiling the kernel suite through the HLS flow...")
-    registry, library = compiled_suite(max_variants=1)
-    sim = Simulator()
-    node = ComputeNode(sim, board_node(workers=args.workers))
-    tracer = Tracer(sim)
-    engine = ExecutionEngine(
-        node, registry, library, use_daemon=True, daemon_period_ns=100_000.0,
-        tracer=tracer,
-    )
-    graph = make_layered_dag(
-        layers=args.layers, width=args.width, num_workers=args.workers,
-        functions=("saxpy", "stencil5", "montecarlo"), seed=args.seed,
-    )
+    engine = build_node_engine(board_node(workers=args.workers), tracer=Tracer)
+    graph = workload_graph(args.layers, args.width, args.workers, args.seed)
     print(f"running {len(graph)} tasks on {args.workers} workers...")
     report = engine.run_graph(graph)
     print(f"  makespan : {report.makespan_ns / 1e6:.3f} ms")
@@ -130,7 +118,7 @@ def _cmd_demo(args: argparse.Namespace) -> int:
     if engine.daemon is not None:
         print(f"  daemon loaded: {engine.daemon.stats.functions_loaded}")
     print("\nper-worker timeline:")
-    print(render_timeline(tracer, width=64))
+    print(render_timeline(engine.tracer, width=64))
     return 0
 
 
@@ -143,29 +131,20 @@ def _telemetry_run(args: argparse.Namespace):
     reconfiguration daemon on -- so the trace/snapshot covers the
     interconnect, memory, fabric and runtime layers in one run.
     """
-    from repro.apps import make_layered_dag
-    from repro.core import ComputeNode
-    from repro.core.runtime import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset
-    from repro.sim import Simulator
+    from repro.experiments import build_node_engine, workload_graph
     from repro.telemetry import Telemetry, attach_simulator
+
+    def instrumented(sim):
+        hub = Telemetry(sim)
+        attach_simulator(hub, sim)
+        return hub
 
     print(f"compiling the kernel suite, building preset {args.preset!r}...",
           file=sys.stderr)
-    registry, library = compiled_suite(max_variants=1)
-    sim = Simulator()
-    hub = Telemetry(sim)
-    attach_simulator(hub, sim)
-    node = ComputeNode(sim, node_preset(args.preset))
+    engine = build_node_engine(args.preset, telemetry=instrumented)
+    hub, node = engine.telemetry, engine.node
     node.attach_telemetry(hub)
-    engine = ExecutionEngine(
-        node, registry, library,
-        use_daemon=True, daemon_period_ns=100_000.0, telemetry=hub,
-    )
-    graph = make_layered_dag(
-        layers=args.layers, width=args.width, num_workers=len(node),
-        functions=("saxpy", "stencil5", "montecarlo"), seed=args.seed,
-    )
+    graph = workload_graph(args.layers, args.width, len(node), args.seed)
     print(f"running {len(graph)} tasks on {len(node)} workers...",
           file=sys.stderr)
     report = engine.run_graph(graph)
@@ -353,12 +332,12 @@ def _cmd_chaos(args: argparse.Namespace) -> int:
 
 def _cmd_checkpoint(args: argparse.Namespace) -> int:
     from repro.chaos.checkpoint_experiment import (
+        build_workload_machine,
         restore_from_snapshot,
         run_checkpoint_interval_sweep,
         run_checkpoint_restore_experiment,
         submit_workload,
         workload_spec,
-        _build_machine,
     )
     from repro.core.runtime import FaultTolerancePolicy
     from repro.core.runtime.checkpoint import (
@@ -385,9 +364,8 @@ def _cmd_checkpoint(args: argparse.Namespace) -> int:
               f"{args.preset!r} every {args.interval / 1e3:.0f} us...",
               file=sys.stderr)
         workload = workload_spec(args.preset, seed=args.seed)
-        _, _, _, manager = _build_machine(
-            workload,
-            fault_tolerance=FaultTolerancePolicy(),
+        manager = build_workload_machine(
+            workload, fault_tolerance=FaultTolerancePolicy()
         )
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
@@ -706,11 +684,7 @@ def _client_script(client, frame: dict, args: argparse.Namespace) -> int:
 
 
 def _cmd_inspect(args: argparse.Namespace) -> int:
-    from repro.core import ComputeNode
-    from repro.core.runtime import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
-    from repro.serving import BurnRatePolicy, ServingGateway, TraceConfig
-    from repro.sim import Simulator
+    from repro.serving import BurnRatePolicy, TraceConfig, build_serving_gateway
     from repro.telemetry import Telemetry, validate_span_tree
 
     print(
@@ -718,29 +692,17 @@ def _cmd_inspect(args: argparse.Namespace) -> int:
         f"(seed {args.seed}, 1-in-{args.sample_every} sampling)...",
         file=sys.stderr,
     )
-    scenario = serving_preset(args.preset)
-    registry, library = compiled_suite(max_variants=2)
-    sim = Simulator()
     # a hub only when an export asks for one: the traced run itself works
     # dark (spans land on the request tracer's standalone sink)
-    hub = Telemetry(sim) if (args.trace_out or args.events_out) else None
-    node = ComputeNode(sim, node_preset(scenario.node))
-    if hub is not None:
-        node.attach_telemetry(hub)
-    engine = ExecutionEngine(
-        node, registry, library, use_daemon=False, telemetry=hub,
-    )
-    gateway = ServingGateway(
-        engine,
-        scenario,
+    gateway = build_serving_gateway(
+        args.preset,
         seed=args.seed,
-        scenario_name=args.preset,
-        telemetry=hub,
-        tracing=TraceConfig(
-            sample_every=args.sample_every, top_k=args.top_k
-        ),
+        telemetry=Telemetry if (args.trace_out or args.events_out) else None,
+        tracing=TraceConfig(sample_every=args.sample_every, top_k=args.top_k),
         alerts=BurnRatePolicy(slo_scale=args.slo_scale),
     )
+    hub = gateway.telemetry
+    gateway.engine.node.attach_telemetry(hub)
     report = gateway.run()
     if args.out:
         _write_or_print(report.json(indent=2), args.out)

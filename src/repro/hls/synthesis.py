@@ -9,6 +9,7 @@ results land in the runtime's :class:`~repro.fabric.ModuleLibrary`.
 
 from __future__ import annotations
 
+import zlib
 from dataclasses import dataclass, field
 from typing import List, Optional
 
@@ -104,8 +105,11 @@ class HlsTool:
             return None
         fill = self.floorplanner.fill_fraction(point.estimate.resources, placement)
         name = f"{point.kernel.name}.{point.config.label()}"
+        # crc32, not hash(): str hashes are salted per process, and the
+        # bitstream bytes (hence compressed size, hence reconfiguration
+        # time) must not depend on PYTHONHASHSEED
         bitstream = Bitstream.synthesize(
-            name, placement.frames, fill, seed=hash(name) & 0xFFFF
+            name, placement.frames, fill, seed=zlib.crc32(name.encode()) & 0xFFFF
         )
         est = point.estimate
         return AcceleratorModule(

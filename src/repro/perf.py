@@ -150,21 +150,11 @@ def bench_smmu_translate(quick: bool) -> int:
 
 def bench_serving_steady(quick: bool) -> int:
     """End-to-end serving `steady` preset (compile + serve + report)."""
-    from repro.core import ComputeNode
-    from repro.core.runtime.engine import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
-    from repro.serving.gateway import ServingGateway
-    from repro.sim import Simulator
+    from repro.serving.gateway import build_serving_gateway
 
-    scenario = serving_preset("steady")
-    registry, library = compiled_suite(max_variants=2)
-    sim = Simulator()
-    node = ComputeNode(sim, node_preset(scenario.node))
-    engine = ExecutionEngine(node, registry, library, use_daemon=False)
-    gateway = ServingGateway(engine, scenario, seed=0, scenario_name="steady")
-    report = gateway.run()
-    report.json()  # include report serialization in the timed region
-    return sim.events_processed
+    gateway = build_serving_gateway("steady", seed=0)
+    gateway.run().json()  # include report serialization in the timed region
+    return gateway.sim.events_processed
 
 
 def bench_serving_steady_traced(quick: bool) -> int:
@@ -173,27 +163,32 @@ def bench_serving_steady_traced(quick: bool) -> int:
     Paired with ``serving.steady``: the two walls bound the observability
     tax (CI's trace-smoke job asserts the ratio stays under its gate).
     """
-    from repro.core import ComputeNode
-    from repro.core.runtime.engine import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
     from repro.serving.alerts import BurnRatePolicy
-    from repro.serving.gateway import ServingGateway
+    from repro.serving.gateway import build_serving_gateway
     from repro.serving.tracing import TraceConfig
-    from repro.sim import Simulator
 
-    scenario = serving_preset("steady")
-    registry, library = compiled_suite(max_variants=2)
-    sim = Simulator()
-    node = ComputeNode(sim, node_preset(scenario.node))
-    engine = ExecutionEngine(node, registry, library, use_daemon=False)
-    gateway = ServingGateway(
-        engine, scenario, seed=0, scenario_name="steady",
+    gateway = build_serving_gateway(
+        "steady",
+        seed=0,
         tracing=TraceConfig(sample_every=1),       # worst case: trace all
         alerts=BurnRatePolicy(slo_scale=0.1),
     )
-    report = gateway.run()
-    report.json()  # include report serialization in the timed region
-    return sim.events_processed
+    gateway.run().json()  # include report serialization in the timed region
+    return gateway.sim.events_processed
+
+
+#: the exascale sweep's machine shapes: (nodes, inter-node fanouts,
+#: workers per node, intra-node fanout)
+_EXASCALE_CONFIGS: List[Tuple[int, Optional[List[int]], int, Optional[int]]] = [
+    (1, None, 4, None),
+    (4, [4], 4, None),
+    (16, [4, 4], 8, 4),
+    (64, [4, 4, 4], 8, 4),
+]
+
+
+def _exascale_configs(quick: bool):
+    return _EXASCALE_CONFIGS[:3] if quick else _EXASCALE_CONFIGS
 
 
 def bench_exascale_build(quick: bool) -> int:
@@ -202,16 +197,8 @@ def bench_exascale_build(quick: bool) -> int:
     from repro.core import ComputeNodeParams, Machine, MachineParams
     from repro.sim import Simulator
 
-    configs: List[Tuple[int, Optional[List[int]], int, Optional[int]]] = [
-        (1, None, 4, None),
-        (4, [4], 4, None),
-        (16, [4, 4], 8, 4),
-        (64, [4, 4, 4], 8, 4),
-    ]
-    if quick:
-        configs = configs[:3]
     events = 0
-    for nodes, fanouts, wpn, intra in configs:
+    for nodes, fanouts, wpn, intra in _exascale_configs(quick):
         sim = Simulator()
         machine = Machine(
             sim,
@@ -244,16 +231,8 @@ def bench_exascale_build_warm(quick: bool) -> int:
     from repro.shard.bringup import TemplateCache, build_node
     from repro.sim import Simulator
 
-    configs: List[Tuple[int, Optional[List[int]], int, Optional[int]]] = [
-        (1, None, 4, None),
-        (4, [4], 4, None),
-        (16, [4, 4], 8, 4),
-        (64, [4, 4, 4], 8, 4),
-    ]
-    if quick:
-        configs = configs[:3]
     workers = 0
-    for nodes, _fanouts, wpn, intra in configs:
+    for nodes, _fanouts, wpn, intra in _exascale_configs(quick):
         # fresh cache per config: measures template amortization within
         # one build, not leakage across benchmark iterations
         cache = TemplateCache()
@@ -276,16 +255,8 @@ def make_bench_sharded_build(partitions: int) -> Callable[[bool], int]:
     def bench(quick: bool) -> int:
         from repro.shard import run_sharded_build
 
-        configs: List[Tuple[int, Optional[List[int]], int, Optional[int]]] = [
-            (1, None, 4, None),
-            (4, [4], 4, None),
-            (16, [4, 4], 8, 4),
-            (64, [4, 4, 4], 8, 4),
-        ]
-        if quick:
-            configs = configs[:3]
         events = 0
-        for nodes, fanouts, wpn, intra in configs:
+        for nodes, fanouts, wpn, intra in _exascale_configs(quick):
             result = run_sharded_build(
                 num_nodes=nodes,
                 workers_per_node=wpn,

@@ -110,8 +110,10 @@ def node_preset(name: str) -> ComputeNodeParams:
     return NODE_PRESETS[name]()
 
 
-def build_preset_node(sim, name: str, warm: bool = False, node_id: int = 0):
+def build_preset_node(sim, name, warm: bool = False, node_id: int = 0):
     """Build the Compute Node for one preset, optionally warm-started.
+
+    ``name`` is a :data:`NODE_PRESETS` key or a :class:`ComputeNodeParams`.
 
     ``warm=True`` routes bring-up through the shard layer's process-wide
     :class:`~repro.shard.bringup.TemplateCache`: the pure-function parts
@@ -120,7 +122,7 @@ def build_preset_node(sim, name: str, warm: bool = False, node_id: int = 0):
     the same topology skip the expensive part.  Templated builds are
     bit-identical to cold ones, so warm starts never change reports.
     """
-    params = node_preset(name)
+    params = node_preset(name) if isinstance(name, str) else name
     if warm:
         from repro.shard.bringup import build_node, shared_template_cache
 

@@ -98,7 +98,7 @@ class _ServingEpoch:
         # the hub rides the epoch's simulator (built inside the builder,
         # hence the factory); reports stay byte-identical with telemetry
         # on or off (the PR 5 contract), so metrics never cost determinism
-        factory = (lambda sim: Telemetry(sim)) if session.telemetry else None
+        factory = Telemetry if session.telemetry else None
         self.gateway = build_serving_gateway(
             self.preset,
             seed=self.seed,
@@ -250,7 +250,7 @@ class _JobsEpoch:
         ft = _fault_tolerance(args.get("fault_tolerance"))
         self.fault_tolerance = ft is not None
         submit_mix = args.get("kind", "jobs") == "jobs"
-        factory = (lambda sim: Telemetry(sim)) if session.telemetry else None
+        factory = Telemetry if session.telemetry else None
         self.manager, self.mix = build_jobs_machine(
             self.preset,
             seed=self.seed,
@@ -310,8 +310,7 @@ class _JobsEpoch:
 
     def submit_more(self, args: Dict[str, Any]) -> Dict[str, Any]:
         """A ``submit`` onto the live machine: a whole mix or one job."""
-        from repro.apps import make_layered_dag
-        from repro.experiments import submit_job_mix
+        from repro.experiments import submit_job_mix, workload_graph
         from repro.presets import job_preset
 
         _require(
@@ -332,12 +331,11 @@ class _JobsEpoch:
                 self.manager, mix, int(args.get("seed", self.seed))
             )
             return {"jobs": [h.job_id for h in handles], "at_ns": self.now}
-        graph = make_layered_dag(
-            layers=int(args.get("layers", 4)),
-            width=int(args.get("width", 8)),
-            num_workers=len(self.manager.engine.node),
-            functions=("saxpy", "stencil5", "montecarlo"),
-            seed=int(args.get("graph_seed", 1)) + int(args.get("seed", self.seed)),
+        graph = workload_graph(
+            int(args.get("layers", 4)),
+            int(args.get("width", 8)),
+            len(self.manager.engine.node),
+            int(args.get("graph_seed", 1)) + int(args.get("seed", self.seed)),
         )
         handle = self.manager.submit_job(
             graph,

@@ -630,35 +630,32 @@ def build_serving_gateway(
     brownout: Optional[BrownoutPolicy] = None,
     warm_start=False,
     spawn_arrivals: bool = True,
+    node_id: int = 0,
+    scenario=None,
 ) -> "ServingGateway":
     """Build (but do not run) the serving machine for one preset.
 
-    The shared construction path for :func:`run_serving_experiment` and
-    the service daemon's serving epochs: same build order, same seeds,
-    so a daemon-built gateway is byte-identical to a batch one.
+    The shared construction path for :func:`run_serving_experiment`, the
+    service daemon's serving epochs, ``repro inspect``, ``repro bench``
+    and the sharded engine's gateway nodes: same build order, same
+    seeds, so a daemon-built gateway is byte-identical to a batch one.
     ``warm_start`` may be ``True`` or a saved-snapshot path (see
     :func:`repro.experiments.resolve_warm_start`); templated bring-up is
-    bit-identical to cold, so warm never changes the report.
+    bit-identical to cold, so warm never changes the report.  A sharded
+    node passes its ``node_id`` and its slice of the preset's
+    ``scenario``.
     """
-    from repro.core.runtime.engine import ExecutionEngine
-    from repro.experiments import resolve_warm_start
-    from repro.presets import build_preset_node, compiled_suite, serving_preset
-    from repro.sim import Simulator
+    from repro.experiments import build_node_engine, resolve_warm_start
+    from repro.presets import serving_preset
 
-    scenario = serving_preset(preset)
-    warm = resolve_warm_start(warm_start, scenario.node)
-    registry, library = compiled_suite(max_variants=max_variants)
-    sim = Simulator()
-    if callable(telemetry):
-        # the hub needs the simulator this builder creates: a factory
-        # (sim -> hub) lets the service daemon attach one per epoch
-        telemetry = telemetry(sim)
-    node = build_preset_node(sim, scenario.node, warm=warm)
-    engine = ExecutionEngine(
-        node,
-        registry,
-        library,
-        use_daemon=False,        # the autoscaler owns the Fig. 5 loop here
+    if scenario is None:
+        scenario = serving_preset(preset)
+    engine = build_node_engine(
+        scenario.node,
+        max_variants=max_variants,
+        node_id=node_id,
+        warm=resolve_warm_start(warm_start, scenario.node),
+        daemon=False,            # the autoscaler owns the Fig. 5 loop here
         telemetry=telemetry,
         fault_tolerance=fault_tolerance,
     )
@@ -667,7 +664,7 @@ def build_serving_gateway(
         scenario,
         seed=seed,
         scenario_name=preset,
-        telemetry=telemetry,
+        telemetry=engine.telemetry,
         tracing=tracing,
         alerts=alerts,
         brownout=brownout,

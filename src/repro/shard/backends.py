@@ -119,14 +119,31 @@ class ProcessShard:
         child.close()
         self._check()
 
+    def _send(self, message) -> None:
+        try:
+            self._conn.send(message)
+        except OSError:
+            self._died()
+
     def _check(self) -> None:
-        status, detail = self._conn.recv()
+        try:
+            status, detail = self._conn.recv()
+        except (EOFError, OSError):
+            self._died()
         if status != "ok":
             raise ShardError(f"partition {self.partition} failed:\n{detail}")
         self._last = detail
 
+    def _died(self) -> None:
+        """The worker closed its pipe without replying: it is gone."""
+        self._proc.join(timeout=10)
+        raise ShardError(
+            f"partition {self.partition} worker died "
+            f"(exit code {self._proc.exitcode})"
+        ) from None
+
     def _rpc(self, op: str, *args) -> Any:
-        self._conn.send((op, args))
+        self._send((op, args))
         self._check()
         return self._last
 
@@ -140,7 +157,7 @@ class ProcessShard:
     # collect replies in shard order -- this is where the process
     # backend's windows actually overlap across cores
     def advance_post(self, horizon) -> None:
-        self._conn.send(("advance", (horizon,)))
+        self._send(("advance", (horizon,)))
 
     def advance_wait(self):
         self._check()

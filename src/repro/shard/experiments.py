@@ -31,7 +31,7 @@ import json
 from contextlib import contextmanager
 from typing import Any, Dict, List, Optional, Tuple
 
-from repro.shard.bringup import TemplateCache, build_node, shared_template_cache
+from repro.shard.bringup import build_node, shared_template_cache
 from repro.shard.merge import max_field, merged_report, sum_field
 from repro.shard.plan import PartitionPlan, ShardError
 from repro.shard.sync import NodeCell, PartitionRuntime
@@ -106,38 +106,21 @@ def build_jobs_partition(
     t=0, a DATA reply on delivery, submission when the DATA lands --
     deterministic cross-partition traffic on every run.
     """
-    from repro.apps import make_layered_dag
-    from repro.core.runtime import ExecutionEngine, JobManager
-    from repro.presets import compiled_suite, job_preset, node_preset
-    from repro.sim import Simulator
+    from repro.experiments import build_jobs_machine, job_mix_graphs
 
-    mix = job_preset(config["preset"])
-    registry, library = compiled_suite(max_variants=1)
     restore = config.get("restore") or {}
     runtime = PartitionRuntime(partition, plan)
-    cache = shared_template_cache()
     for node_id in plan.nodes_in(partition):
-        sim = Simulator()
-        node = build_node(sim, node_preset(mix.node), node_id, cache)
-        engine = ExecutionEngine(
-            node, registry, library,
-            use_daemon=True, daemon_period_ns=100_000.0,
+        manager, mix = build_jobs_machine(
+            config["preset"], warm_start=True, submit_mix=False, node_id=node_id
         )
-        manager = JobManager(engine)
-        graphs = []
+        sim = manager.sim
         with _task_id_base(node_id * _TASK_ID_STRIDE):
-            for spec in mix.jobs:
-                graphs.append(
-                    make_layered_dag(
-                        layers=spec.layers,
-                        width=spec.width,
-                        num_workers=len(node),
-                        functions=("saxpy", "stencil5", "montecarlo"),
-                        seed=spec.graph_seed
-                        + config["seed"]
-                        + node_id * _GRAPH_SEED_STRIDE,
-                    )
-                )
+            graphs = job_mix_graphs(
+                mix,
+                len(manager.engine.node),
+                config["seed"] + node_id * _GRAPH_SEED_STRIDE,
+            )
 
         cell = NodeCell(node_id, sim)
         state = {"staged_at": None}
@@ -302,27 +285,22 @@ def build_serving_partition(
     and broadcasts brownout enter/exit transitions (and the final stop)
     back over the bridge.
     """
-    from repro.core.runtime import ExecutionEngine
-    from repro.presets import compiled_suite, node_preset, serving_preset
+    from repro.presets import serving_preset
     from repro.serving.brownout import BrownoutPolicy
-    from repro.serving.gateway import ServingGateway
-    from repro.sim import Simulator
+    from repro.serving.gateway import build_serving_gateway
 
     scenario = serving_preset(config["preset"])
-    registry, library = compiled_suite(max_variants=2)
     runtime = PartitionRuntime(partition, plan)
-    cache = shared_template_cache()
     for node_id in plan.nodes_in(partition):
-        sim = Simulator()
-        node = build_node(sim, node_preset(scenario.node), node_id, cache)
-        engine = ExecutionEngine(node, registry, library, use_daemon=False)
-        gateway = ServingGateway(
-            engine,
-            _node_scenario(scenario, node_id, plan.num_nodes),
+        gateway = build_serving_gateway(
+            config["preset"],
             seed=config["seed"] + node_id * _SERVE_SEED_STRIDE,
-            scenario_name=config["preset"],
             brownout=BrownoutPolicy(),
+            warm_start=True,
+            node_id=node_id,
+            scenario=_node_scenario(scenario, node_id, plan.num_nodes),
         )
+        sim = gateway.sim
         gateway.start()
 
         cell = NodeCell(node_id, sim)
@@ -501,63 +479,36 @@ def build_chaos_partition(
     baseline to node 0, which derives the seeded global fault plan and
     sends each KILL so it is *delivered* exactly at its planned time.
     """
-    from repro.apps import make_layered_dag
     from repro.chaos.controller import seeded_node_plan
-    from repro.chaos.experiment import CHAOS_PRESETS, graph_signature
-    from repro.core.runtime import (
-        ExecutionEngine,
-        FaultTolerancePolicy,
-        JobManager,
-    )
-    from repro.presets import compiled_suite, node_preset
-    from repro.sim import Simulator
+    from repro.chaos.experiment import build_chaos_run, graph_signature
+    from repro.core.runtime import JobManager
+    from repro.experiments import chaos_preset
 
-    preset = CHAOS_PRESETS[config["preset"]]
-    registry, library = compiled_suite(max_variants=1)
+    preset = chaos_preset(config["preset"])
     runtime = PartitionRuntime(partition, plan)
-    cache = shared_template_cache()
     for node_id in plan.nodes_in(partition):
         graph_seed = (
             preset.graph_seed + config["seed"] + node_id * _GRAPH_SEED_STRIDE
         )
 
         # ---- phase A: fault-free baseline on a throwaway machine ------
-        scratch = Simulator()
-        scratch_node = build_node(
-            scratch, node_preset(preset.node), node_id, cache
-        )
-        base_engine = ExecutionEngine(
-            scratch_node, registry, library,
-            use_daemon=True, daemon_period_ns=100_000.0,
-        )
         with _task_id_base(node_id * _TASK_ID_STRIDE):
-            base_graph = make_layered_dag(
-                layers=preset.layers, width=preset.width,
-                num_workers=len(scratch_node),
-                functions=("saxpy", "stencil5", "montecarlo"),
-                seed=graph_seed,
+            base_engine, base_graph = build_chaos_run(
+                preset, warm=True, node_id=node_id, graph_seed=graph_seed
             )
         baseline = base_engine.run_graph(base_graph)
 
         # ---- phase B: armed runtime, workload from t=0 ----------------
-        sim = Simulator()
-        node = build_node(sim, node_preset(preset.node), node_id, cache)
-        engine = ExecutionEngine(
-            node, registry, library,
-            use_daemon=True, daemon_period_ns=100_000.0,
-            fault_tolerance=FaultTolerancePolicy(
-                heartbeat_period_ns=preset.heartbeat_period_ns,
-                max_attempts=preset.max_attempts,
-            ),
-        )
-        manager = JobManager(engine, fair_share=False)
         with _task_id_base(node_id * _TASK_ID_STRIDE + _TASK_ID_STRIDE // 2):
-            graph = make_layered_dag(
-                layers=preset.layers, width=preset.width,
-                num_workers=len(node),
-                functions=("saxpy", "stencil5", "montecarlo"),
-                seed=graph_seed,
+            engine, graph = build_chaos_run(
+                preset,
+                warm=True,
+                node_id=node_id,
+                graph_seed=graph_seed,
+                fault_tolerance=preset.fault_tolerance(),
             )
+        node, sim = engine.node, engine.node.sim
+        manager = JobManager(engine, fair_share=False)
         manager.submit_job(graph)
 
         cell = NodeCell(node_id, sim)
@@ -676,15 +627,11 @@ def run_sharded_chaos(
     lookahead_ns: Optional[float] = None,
 ) -> Dict[str, Any]:
     """Chaos-test every node of a sharded machine; merged verdict report."""
-    from repro.chaos.experiment import CHAOS_PRESETS
+    from repro.experiments import chaos_preset
     from repro.presets import compiled_suite
     from repro.shard.backends import ShardSet
 
-    if preset not in CHAOS_PRESETS:
-        known = ", ".join(sorted(CHAOS_PRESETS))
-        raise KeyError(
-            f"unknown chaos preset {preset!r}; choose from: {known}"
-        )
+    chaos_preset(preset)  # validate the name before any fork
     compiled_suite(max_variants=1)
     plan = PartitionPlan.build(num_nodes, partitions, lookahead_ns)
     config = {"preset": preset, "seed": seed}

@@ -21,12 +21,7 @@ from repro.chaos import (
     run_multi_job_chaos_experiment,
 )
 from repro.core import ComputeNode, ComputeNodeParams, Machine, MachineParams
-from repro.core.runtime import (
-    ClusterEngine,
-    ExecutionEngine,
-    FaultTolerancePolicy,
-    JobManager,
-)
+from repro.core.runtime import ExecutionEngine, FaultTolerancePolicy, JobManager
 from repro.interconnect import Link, LinkParams
 from repro.interconnect.link import LinkFault
 from repro.interconnect.network import Network
@@ -438,27 +433,19 @@ class TestChaosExperiment:
 # machine-level (cluster) fault hooks
 # ----------------------------------------------------------------------
 class TestClusterChaos:
-    def test_global_crash_survives_cluster_run(self, compiled):
-        registry, library = compiled
-        machine = Machine(
-            Simulator(),
-            MachineParams(num_nodes=2, node=ComputeNodeParams(num_workers=2)),
-        )
-        engine = ClusterEngine(
-            machine, registry, library,
-            fault_tolerance=FaultTolerancePolicy(heartbeat_period_ns=10_000.0),
-        )
-        # global worker 3 = node 1, local worker 1
-        machine.sim.schedule_at(30_000.0, lambda: engine.crash_worker(3))
-        graph = make_layered_dag(
-            layers=4, width=10, num_workers=4, functions=FUNCTIONS, seed=5
-        )
-        report = engine.run_graph(graph)
-        assert report.worker_failures == 1
-        assert report.node_reports[1].worker_failures == 1
-        assert report.node_reports[0].worker_failures == 0
-        assert report.tasks_unrecovered == 0
-        assert report.availability_ok
+    def test_global_crash_survives_cluster_run(self):
+        from repro.shard import run_sharded_chaos
+
+        report = run_sharded_chaos("board", seed=0, num_nodes=2, partitions=2)
+        assert report["faults_injected"] == 2
+        # each crash is counted on the node it hit and nowhere else, and
+        # every node recovers all of its work
+        for frag in report["nodes"].values():
+            assert [f["kind"] for f in frag["faults"]] == ["crash-stop"]
+            assert frag["chaos"]["worker_failures"] == 1
+            assert frag["chaos"]["tasks_unrecovered"] == 0
+        assert report["tasks_unrecovered"] == 0
+        assert report["integrity_ok"]
 
     def test_lossy_world_communicator(self, compiled):
         registry, library = compiled

@@ -15,7 +15,7 @@ from repro.chaos import (
     run_checkpoint_restore_experiment,
     workload_spec,
 )
-from repro.chaos.checkpoint_experiment import _build_machine, submit_workload
+from repro.chaos.checkpoint_experiment import build_workload_machine, submit_workload
 from repro.core.runtime import (
     CheckpointManager,
     CheckpointPolicy,
@@ -209,7 +209,7 @@ class TestWarpTo:
 # ----------------------------------------------------------------------
 class TestCompletedFilter:
     def _machine(self, compiled):
-        return _build_machine(workload_spec("mini"), compiled=compiled)
+        return build_workload_machine(workload_spec("mini"), compiled=compiled)
 
     def _graph(self, manager, seed=0):
         return make_layered_dag(
@@ -220,7 +220,7 @@ class TestCompletedFilter:
         )
 
     def test_out_of_range_indices_rejected(self, compiled):
-        _, _, _, manager = self._machine(compiled)
+        manager = self._machine(compiled)
         graph = self._graph(manager)
         with pytest.raises(ValueError):
             manager.submit_job(graph, completed=frozenset({len(graph.tasks)}))
@@ -229,7 +229,7 @@ class TestCompletedFilter:
 
     @pytest.mark.parametrize("dataflow", [False, True])
     def test_drivers_skip_completed_tasks(self, compiled, dataflow):
-        _, _, _, manager = self._machine(compiled)
+        manager = self._machine(compiled)
         graph = self._graph(manager)
         done = frozenset(range(0, len(graph.tasks), 2))
         handle = manager.submit_job(graph, dataflow=dataflow, completed=done)
@@ -243,7 +243,7 @@ class TestCompletedFilter:
         assert handle.finished
 
     def test_fully_completed_job_runs_nothing(self, compiled):
-        _, _, _, manager = self._machine(compiled)
+        manager = self._machine(compiled)
         graph = self._graph(manager)
         handle = manager.submit_job(
             graph, completed=frozenset(range(len(graph.tasks)))
@@ -259,7 +259,8 @@ class TestCompletedFilter:
 class TestCheckpointManager:
     def test_periodic_capture_and_self_stop(self, compiled):
         workload = workload_spec("mini")
-        sim, _, _, manager = _build_machine(workload, compiled=compiled)
+        manager = build_workload_machine(workload, compiled=compiled)
+        sim = manager.sim
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager,
@@ -281,7 +282,7 @@ class TestCheckpointManager:
 
     def test_latest_before_picks_the_survivor(self, compiled):
         workload = workload_spec("mini")
-        _, _, _, manager = _build_machine(workload, compiled=compiled)
+        manager = build_workload_machine(workload, compiled=compiled)
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload
@@ -295,7 +296,7 @@ class TestCheckpointManager:
 
     def test_registered_rng_state_is_captured(self, compiled):
         workload = workload_spec("mini")
-        _, _, _, manager = _build_machine(workload, compiled=compiled)
+        manager = build_workload_machine(workload, compiled=compiled)
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload
@@ -312,7 +313,7 @@ class TestCheckpointManager:
 
     def test_snapshot_retention_cap(self, compiled):
         workload = workload_spec("mini")
-        _, _, _, manager = _build_machine(workload, compiled=compiled)
+        manager = build_workload_machine(workload, compiled=compiled)
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager,
@@ -351,7 +352,7 @@ class TestRestoreExperiment:
 
     def test_restore_refuses_a_mismatched_workload(self, compiled):
         workload = workload_spec("mini")
-        _, _, _, manager = _build_machine(workload, compiled=compiled)
+        manager = build_workload_machine(workload, compiled=compiled)
         submit_workload(manager, workload)
         ckpt = CheckpointManager(
             manager, CheckpointPolicy(interval_ns=100_000.0), workload=workload

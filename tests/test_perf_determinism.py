@@ -17,6 +17,10 @@ seed-deterministic reports byte-identical.  These tests pin that down:
 """
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -290,3 +294,24 @@ class TestBenchHarness:
                                         "events_processed": 1,
                                         "events_per_sec": 1.0}}}
         assert perf.compare(cur, base) == []
+
+
+# ----------------------------------------------------------------------
+# reports must not depend on the interpreter's hash salt
+# ----------------------------------------------------------------------
+def test_serve_report_independent_of_hash_seed(tmp_path):
+    """Two processes with different ``PYTHONHASHSEED`` write the same
+    report: nothing on the simulated path may seed from ``hash(str)``."""
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    outs = []
+    for hash_seed in ("0", "103"):
+        out = tmp_path / f"serve-{hash_seed}.json"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        result = subprocess.run(
+            [sys.executable, "-m", "repro", "serve", "--preset", "flash-crowd",
+             "--seed", "0", "--out", str(out)],
+            capture_output=True, text=True, env=env, timeout=300,
+        )
+        assert result.returncode == 0, result.stderr[-2000:]
+        outs.append(out.read_bytes())
+    assert outs[0] == outs[1]

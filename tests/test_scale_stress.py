@@ -1,56 +1,23 @@
 """Scale stress: nothing degenerates on a large machine / big workload."""
 
-import pytest
-
-from repro.apps import make_layered_dag
-from repro.core import ComputeNodeParams, FunctionRegistry, Machine, MachineParams
-from repro.core.runtime import ClusterEngine
-from repro.fabric import ModuleLibrary
-from repro.hls import HlsTool, SynthesisConstraints, saxpy_kernel, stencil_kernel
+from repro.core import ComputeNodeParams, Machine, MachineParams
+from repro.presets import job_preset
+from repro.shard import report_json, run_sharded_jobs
 from repro.sim import Simulator
 
 
-@pytest.fixture(scope="module")
-def compiled():
-    registry = FunctionRegistry()
-    library = ModuleLibrary()
-    tool = HlsTool()
-    for k in (saxpy_kernel(1024), stencil_kernel(1024)):
-        registry.register(k)
-        tool.compile(k, library, SynthesisConstraints(max_variants=1))
-    return registry, library
-
-
-def test_eight_node_cluster_run(compiled):
-    """512 tasks over 8 nodes x 4 workers: completes, stays consistent."""
-    registry, library = compiled
-    machine = Machine(
-        Simulator(),
-        MachineParams(
-            num_nodes=8,
-            node=ComputeNodeParams(num_workers=4),
-            inter_node_fanouts=[2, 4],
-        ),
-    )
-    engine = ClusterEngine(
-        machine, registry, library, use_daemon=True, daemon_period_ns=200_000.0
-    )
-    graph = make_layered_dag(
-        layers=8, width=64, num_workers=32,
-        functions=("saxpy", "stencil5"), seed=41,
-    )
-    report = engine.run_graph(graph)
-    assert report.tasks == 512
-    assert report.sw_calls + report.hw_calls == 512
-    assert report.makespan_ns > 0
-    assert report.barriers == 7
-    # every node did real work
-    per_node = [r.sw_calls + r.hw_calls for r in report.node_reports]
-    assert all(n > 0 for n in per_node)
-    # conservation: no task double-counted
-    assert sum(per_node) == 512
-    # the simulation stayed deterministic and bounded
-    assert machine.sim.events_processed > 1000
+def test_eight_node_cluster_run():
+    """The job mix on 8 nodes over 4 partitions: every task runs once."""
+    report = run_sharded_jobs("mini", seed=0, num_nodes=8, partitions=4)
+    per_mix = sum(s.layers * s.width for s in job_preset("mini").jobs)
+    machines = [report["nodes"][n]["machine"] for n in report["nodes"]]
+    assert len(machines) == 8
+    per_node = [m["sw_calls"] + m["hw_calls"] for m in machines]
+    # every node did real work, and no task was lost or double-counted
+    assert per_node == [per_mix] * 8
+    assert report["tasks"] == sum(per_node) == 8 * per_mix
+    assert report["tasks_unrecovered"] == 0
+    assert report["makespan_ns"] > 0
 
 
 def test_large_machine_construction_fast():
@@ -69,20 +36,12 @@ def test_large_machine_construction_fast():
     assert r.rounds == 6
 
 
-def test_repeat_run_deterministic(compiled):
-    """Two identical cluster runs produce identical reports."""
-    registry, library = compiled
+def test_repeat_run_deterministic():
+    """Two identical multi-node runs produce identical reports."""
 
     def run():
-        machine = Machine(
-            Simulator(),
-            MachineParams(num_nodes=2, node=ComputeNodeParams(num_workers=2)),
+        return report_json(
+            run_sharded_jobs("mini", seed=13, num_nodes=2, partitions=2)
         )
-        engine = ClusterEngine(machine, registry, library, use_daemon=False)
-        graph = make_layered_dag(4, 8, 4, functions=("saxpy",), seed=13)
-        return engine.run_graph(graph)
 
-    a, b = run(), run()
-    assert a.makespan_ns == b.makespan_ns
-    assert a.sw_calls == b.sw_calls
-    assert a.barrier_ns_total == b.barrier_ns_total
+    assert run() == run()

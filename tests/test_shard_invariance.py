@@ -76,6 +76,42 @@ def test_process_backend_matches_inline():
     assert report_json(inline) == report_json(forked)
 
 
+def _dying_jobs_partition(partition, plan, config):
+    """A jobs partition whose worker process exits mid-run on partition 1."""
+    from repro.shard.experiments import build_jobs_partition
+
+    runtime = build_jobs_partition(partition, plan, config)
+    if partition == 1:
+        runtime.advance = lambda horizon: os._exit(7)
+    return runtime
+
+
+@pytest.mark.skipif(not _HAS_FORK, reason="process backend needs fork")
+def test_dead_partition_worker_raises_shard_error():
+    import signal
+
+    from repro.shard import PartitionPlan, ShardError
+    from repro.shard.backends import ShardSet
+
+    def hung(signum, frame):
+        raise AssertionError("a dead partition worker hung the coordinator")
+
+    previous = signal.signal(signal.SIGALRM, hung)
+    signal.alarm(60)
+    try:
+        with pytest.raises(ShardError, match=r"partition 1 .*exit code 7"):
+            with ShardSet(
+                PartitionPlan.build(2, 2),
+                f"{__name__}:_dying_jobs_partition",
+                {"preset": "mini", "seed": 0},
+                backend="process",
+            ) as shards:
+                shards.run()
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+
+
 # ----------------------------------------------------------------------
 # template bring-up equivalence
 # ----------------------------------------------------------------------
